@@ -46,18 +46,15 @@ ScfResult GroundStateSolver::scf_phase(CMatrix& psi, std::span<const double> occ
   ham_.update_density(rho);
 
   AndersonMixer mixer(setup_.n_dense(), opt.anderson_depth, opt.mix_beta);
-  par::BlockPartition bands(psi.cols(), 1);
 
   auto apply = [&](const CMatrix& in, CMatrix& out) {
     out.resize(in.rows(), in.cols());
     ham_.apply(in, out, comm);
   };
 
+  // Exchange orbitals stay frozen within a phase; only the semi-local
+  // potential responds to the mixed density.
   for (int it = 0; it < max_iter; ++it) {
-    if (ham_.hybrid_enabled()) {
-      // Exchange orbitals stay frozen within a phase; only the semi-local
-      // potential responds to the mixed density here.
-    }
     LobpcgResult lr = lobpcg(apply, ham_.kinetic(), psi, opt.lobpcg);
     res.eigenvalues = lr.eigenvalues;
 

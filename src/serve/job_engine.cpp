@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/env.hpp"
+#include "ham/ace.hpp"
 #include "io/checkpoint.hpp"
 #include "perf/model.hpp"
 #include "serve/wire.hpp"
@@ -16,6 +17,14 @@ namespace pwdft::serve {
 namespace {
 
 constexpr const char* kSpecSuffix = ".spec.ckpt";
+
+/// Whether a hit on this spec's ground state reproduces its own SCF bit for
+/// bit (see the Sharing notes in job_engine.hpp): not when ACE keeps
+/// projectors across exchange registrations.
+bool ground_state_cacheable(const core::SimulationOptions& opt) {
+  const int refresh = opt.ace_refresh > 0 ? opt.ace_refresh : ham::ace_refresh_env_default();
+  return !opt.use_ace || refresh == 1;
+}
 
 JobStatus unknown_job_status(JobId id) {
   JobStatus s;
@@ -101,13 +110,31 @@ JobEngine::JobEngine(JobEngineOptions opt) : opt_(std::move(opt)) {
 
 void JobEngine::begin_shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
-  shutdown_ = true;  // pump_locked admits nothing more
-  cv_.notify_all();  // unblock wait/wait_progress/wait_all
+  shutdown_ = true;       // pump_locked admits nothing more
+  cv_.notify_all();       // unblock wait/wait_progress/wait_all
+  work_cv_.notify_all();  // idle workers exit once ready_ is drained
 }
 
 JobEngine::~JobEngine() {
   begin_shutdown();
-  for (std::thread& t : threads_) t.join();
+  // workers_ only grows under mu_, and no longer does after shutdown.
+  for (std::thread& t : workers_) t.join();
+}
+
+void JobEngine::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return shutdown_ || !ready_.empty(); });
+    // Admitted jobs run to their end even after shutdown (a drain).
+    if (ready_.empty()) return;
+    Job& job = *ready_.front();
+    ready_.pop_front();
+    --idle_workers_;
+    lock.unlock();
+    run_job(job);
+    lock.lock();
+    ++idle_workers_;
+  }
 }
 
 SubmitResult JobEngine::register_locked(JobSpec spec, bool persist_spec) {
@@ -329,7 +356,14 @@ void JobEngine::pump_locked() {
     next->state = JobState::kRunning;
     ++running_;
     running_cost_ += next->model_cost;
-    threads_.emplace_back([this, job = next] { run_job(*job); });
+    ready_.push_back(next);
+    // A new worker only when the idle ones cannot take every ready job;
+    // a new worker counts as idle until it takes one.
+    if (ready_.size() > idle_workers_ && workers_.size() < opt_.max_running) {
+      ++idle_workers_;
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+    work_cv_.notify_one();
   }
 }
 
@@ -349,6 +383,21 @@ std::shared_ptr<const ham::PlanewaveSetup> JobEngine::setup_for(
                                 sim.dense_factor},
                        setup);
   return setup;
+}
+
+double JobEngine::ground_state(core::Simulation& sim, const core::SimulationOptions& opt) {
+  auto compute = [&] {
+    ++gs_computed_;
+    const double energy = sim.ground_state().energy.total();
+    return GroundStateCache::Entry{sim.wavefunctions(), energy};
+  };
+  if (!ground_state_cacheable(opt)) return compute().energy;
+  wire::PutBuf key;
+  wire::put_sim(key, opt);
+  const auto gs = gs_cache_.get_or_compute(key.bytes(), compute);
+  // A no-op copy for the job that just computed it; the SCF skip for the rest.
+  sim.restore_wavefunctions(gs->psi);
+  return gs->energy;
 }
 
 void JobEngine::run_job(Job& job) {
@@ -391,8 +440,7 @@ void JobEngine::run_job(Job& job) {
     }
 
     if (!resuming) {
-      const scf::ScfResult scf = sim.ground_state();
-      scf_energy = scf.energy.total();
+      scf_energy = ground_state(sim, job.spec.sim);
       {
         // Publish the ground-state energy while the job is still running,
         // so streamed statuses carry it.

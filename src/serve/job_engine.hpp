@@ -20,7 +20,7 @@
 /// the scheduler preempts: the cheapest running job with a strictly lower
 /// priority is stopped cooperatively at its next step boundary (crash
 /// semantics — work since its last snapshot is lost) and requeued, freeing
-/// the slot. Each admitted job runs on its own engine-owned std::thread:
+/// the slot. Each admitted job runs on an engine-owned slot worker thread:
 /// per docs/threading.md, concurrent parallel_for callers race for the pool
 /// and losers run inline, so tenants interleave at operator granularity and
 /// every trajectory stays bit-identical to its solo run (the async lane is
@@ -29,7 +29,41 @@
 /// Sharing. Tenants with the same cell/cutoff share one PlanewaveSetup
 /// (engine-level cache) and — through fft::shared_engine — the same Fft3D
 /// instances, so a newly admitted tenant replays the graph caches its
-/// predecessors already built instead of rewarming them.
+/// predecessors already built instead of rewarming them. Tenants with the
+/// same simulation options also share one converged ground state
+/// (serve/gs_cache.hpp):
+///   - Key: the exact wire bytes of JobSpec::sim (wire::put_sim, the block
+///     the submit and durable-spec codecs embed), compared byte for byte.
+///     Everything else SimulationOptions carries (FockOptions, FFT dispatch,
+///     pipeline mode) is bit-identical across its values in a one-rank
+///     Simulation, so leaving it out of the key cannot change a result.
+///   - Exactness: a hit skips Simulation::ground_state() and installs the
+///     cached orbitals with restore_wavefunctions(). Every step rebuilds
+///     the density, the exchange operator and the vector potential from
+///     (psi, t) before using them (under MTS a non-refresh step reuses the
+///     operator its own propagation froze; the first step always
+///     refreshes), and a recorded sample either reads only psi or rebuilds
+///     the same way, so nothing the SCF left in the Hamiltonian reaches the
+///     trajectory. This is the argument that makes
+///     resume exact; hit and miss give bitwise-identical traces and
+///     scf_energy (tests/test_serve.cpp). A hit still writes the job's own
+///     `.gs.ckpt`, which its resume needs.
+///   - Bypass: ACE with a projector-refresh cadence other than every
+///     registration (ace_refresh, or PWDFT_ACE_REFRESH when it is <= 0)
+///     keeps projectors across registrations, so the first step would see
+///     the SCF's stale projectors on a miss and fresh ones on a hit. Such
+///     specs always run their own SCF.
+///   - Single flight: a job whose key is being computed by another running
+///     job waits for that SCF instead of starting its own; if the owner's
+///     SCF throws, a waiter computes it. A waiting job keeps its running slot.
+///   - Bound: least-recently-used entries are evicted beyond
+///     kGroundStateCacheBytes of orbitals.
+///
+/// Threads. Admitted jobs run on long-lived slot workers, started on demand
+/// and never more than max_running, so a finished job leaves no thread
+/// behind and the next job reuses the worker's thread-local workspace and
+/// malloc arena. A fresh thread per job would fill a fresh malloc arena, and
+/// peak RSS would grow with the number of jobs served.
 ///
 /// Crash safety — in-process AND across process restarts. Every submitted
 /// job's spec is persisted to `<dir>/<name>.spec.ckpt` (the wire codec
@@ -49,8 +83,10 @@
 /// its newest snapshot bit-identically (tests/test_server.cpp pins the
 /// kill-mid-run → restart → bit-identical path end to end).
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -58,6 +94,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/gs_cache.hpp"
 #include "serve/job.hpp"
 
 namespace pwdft::serve {
@@ -152,6 +189,10 @@ class JobEngine {
   /// The admission price of a spec (perf::job_cost of its workload).
   static double cost_estimate(const JobSpec& spec);
 
+  /// SCF runs this engine has performed (ground-state cache misses plus
+  /// bypasses); a cache hit does not count.
+  std::uint64_t ground_states_computed() const { return gs_computed_.load(); }
+
  private:
   struct Job;
 
@@ -159,8 +200,13 @@ class JobEngine {
   /// scheduler preemption when a higher-priority job is starved by a full
   /// engine. Caller holds mu_.
   void pump_locked();
-  /// Worker-thread body for one admitted job.
+  /// Slot-worker body: runs admitted jobs until shutdown drains them.
+  void worker_loop();
+  /// Runs one admitted job on the calling worker.
   void run_job(Job& job);
+  /// Brings `sim` to its converged ground state through the cache (or
+  /// its own SCF for a bypassed spec); returns the SCF total energy.
+  double ground_state(core::Simulation& sim, const core::SimulationOptions& opt);
   /// Registers a validated spec as a queued job. Caller holds mu_.
   SubmitResult register_locked(JobSpec spec, bool persist_spec);
   /// Engine-level PlanewaveSetup cache (keyed by cells/ecut/dense_factor).
@@ -170,7 +216,9 @@ class JobEngine {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Job>> jobs_;
-  std::vector<std::thread> threads_;
+  std::deque<Job*> ready_;  ///< admitted (kRunning), not yet on a worker
+  std::condition_variable work_cv_;  ///< ready_ grew, or shutdown
+  std::size_t idle_workers_ = 0;      ///< workers without a job
   std::size_t running_ = 0;
   double running_cost_ = 0.0;
   bool shutdown_ = false;
@@ -182,6 +230,14 @@ class JobEngine {
   };
   std::mutex setup_mu_;
   std::vector<std::pair<SetupKey, std::shared_ptr<const ham::PlanewaveSetup>>> setups_;
+
+  GroundStateCache gs_cache_;
+  std::atomic<std::uint64_t> gs_computed_{0};
+
+  /// Slot workers (at most max_running), joined by ~JobEngine; declared
+  /// after everything they use.
+  std::vector<std::thread> workers_;
+
 };
 
 }  // namespace pwdft::serve

@@ -64,12 +64,14 @@ void Server::stop() {
   // Closing the listener makes the blocked accept() fail, ending the accept
   // thread; shutdown() first also unblocks it on platforms where close()
   // alone does not.
+  // The accept thread reads listener_.fd, so it is cleared only after the
+  // join.
   if (listener_.fd >= 0) {
     ::shutdown(listener_.fd, SHUT_RDWR);
     ::close(listener_.fd);
-    listener_.fd = -1;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.fd = -1;
   // Unblock handler threads parked in engine wait*() calls, then kick their
   // sockets so blocked recv_frame() calls return. Handlers close their own
   // fds on the way out.
@@ -78,7 +80,7 @@ void Server::stop() {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : conn_threads_) t.join();
+  conn_threads_.join_all();
   if (!listener_.unix_path.empty()) std::remove(listener_.unix_path.c_str());
 }
 
@@ -95,7 +97,7 @@ void Server::accept_loop() {
       return;
     }
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    conn_threads_.spawn([this, fd] { serve_connection(fd); });
   }
 }
 

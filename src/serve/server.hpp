@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_set.hpp"
 #include "serve/job_engine.hpp"
 #include "serve/wire.hpp"
 
@@ -89,8 +90,10 @@ class Server {
 
   std::mutex conns_mu_;
   std::vector<int> conn_fds_;  ///< fds with a live handler thread
-  std::vector<std::thread> conn_threads_;
   bool stopping_ = false;  // guarded by conns_mu_
+  /// One handler per open connection; each is joined as soon as the next
+  /// handler finishes, so closed connections leave no thread behind.
+  ThreadSet conn_threads_;
 };
 
 }  // namespace pwdft::serve

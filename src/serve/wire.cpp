@@ -121,6 +121,54 @@ ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
 
 // --- message payload codecs ------------------------------------------------
 
+void put_sim(PutBuf& out, const core::SimulationOptions& sim) {
+  for (int d = 0; d < 3; ++d) out.i32(sim.cells[d]);
+  out.f64(sim.ecut);
+  out.i32(sim.dense_factor);
+  out.boolean(sim.hybrid);
+  out.boolean(sim.nonlocal);
+  out.boolean(sim.use_ace);
+  out.i32(sim.ace_refresh);
+  out.u64(sim.seed);
+  out.boolean(sim.hybrid_params.enabled);
+  out.f64(sim.hybrid_params.alpha);
+  out.f64(sim.hybrid_params.omega);
+  out.i32(sim.scf.max_iter);
+  out.f64(sim.scf.tol_rho);
+  out.f64(sim.scf.mix_beta);
+  out.u64(sim.scf.anderson_depth);
+  out.i32(sim.scf.lobpcg.max_iter);
+  out.f64(sim.scf.lobpcg.tol);
+  out.boolean(sim.scf.lobpcg.verbose);
+  out.i32(sim.scf.hybrid_outer_max);
+  out.f64(sim.scf.hybrid_outer_tol);
+  out.boolean(sim.scf.verbose);
+}
+
+void get_sim(GetBuf& in, core::SimulationOptions* s) {
+  for (int d = 0; d < 3; ++d) s->cells[d] = in.i32();
+  s->ecut = in.f64();
+  s->dense_factor = in.i32();
+  s->hybrid = in.boolean();
+  s->nonlocal = in.boolean();
+  s->use_ace = in.boolean();
+  s->ace_refresh = in.i32();
+  s->seed = in.u64();
+  s->hybrid_params.enabled = in.boolean();
+  s->hybrid_params.alpha = in.f64();
+  s->hybrid_params.omega = in.f64();
+  s->scf.max_iter = in.i32();
+  s->scf.tol_rho = in.f64();
+  s->scf.mix_beta = in.f64();
+  s->scf.anderson_depth = in.u64();
+  s->scf.lobpcg.max_iter = in.i32();
+  s->scf.lobpcg.tol = in.f64();
+  s->scf.lobpcg.verbose = in.boolean();
+  s->scf.hybrid_outer_max = in.i32();
+  s->scf.hybrid_outer_tol = in.f64();
+  s->scf.verbose = in.boolean();
+}
+
 void put_spec(PutBuf& out, const JobSpec& spec) {
   out.str(spec.name);
   out.u32(static_cast<std::uint32_t>(spec.kind));
@@ -132,27 +180,7 @@ void put_spec(PutBuf& out, const JobSpec& spec) {
   out.u32(static_cast<std::uint32_t>(spec.field.kind));
   for (int d = 0; d < 3; ++d) out.f64(spec.field.kick[d]);
   out.f64(spec.field.laser_e0);
-  for (int d = 0; d < 3; ++d) out.i32(spec.sim.cells[d]);
-  out.f64(spec.sim.ecut);
-  out.i32(spec.sim.dense_factor);
-  out.boolean(spec.sim.hybrid);
-  out.boolean(spec.sim.nonlocal);
-  out.boolean(spec.sim.use_ace);
-  out.i32(spec.sim.ace_refresh);
-  out.u64(spec.sim.seed);
-  out.boolean(spec.sim.hybrid_params.enabled);
-  out.f64(spec.sim.hybrid_params.alpha);
-  out.f64(spec.sim.hybrid_params.omega);
-  out.i32(spec.sim.scf.max_iter);
-  out.f64(spec.sim.scf.tol_rho);
-  out.f64(spec.sim.scf.mix_beta);
-  out.u64(spec.sim.scf.anderson_depth);
-  out.i32(spec.sim.scf.lobpcg.max_iter);
-  out.f64(spec.sim.scf.lobpcg.tol);
-  out.boolean(spec.sim.scf.lobpcg.verbose);
-  out.i32(spec.sim.scf.hybrid_outer_max);
-  out.f64(spec.sim.scf.hybrid_outer_tol);
-  out.boolean(spec.sim.scf.verbose);
+  put_sim(out, spec.sim);
   out.f64(spec.ptcn.dt);
   out.f64(spec.ptcn.rho_tol);
   out.i32(spec.ptcn.max_scf);
@@ -176,27 +204,7 @@ bool get_spec(GetBuf& in, JobSpec* spec) {
   s.field.kind = static_cast<FieldSpec::Kind>(in.u32());
   for (int d = 0; d < 3; ++d) s.field.kick[d] = in.f64();
   s.field.laser_e0 = in.f64();
-  for (int d = 0; d < 3; ++d) s.sim.cells[d] = in.i32();
-  s.sim.ecut = in.f64();
-  s.sim.dense_factor = in.i32();
-  s.sim.hybrid = in.boolean();
-  s.sim.nonlocal = in.boolean();
-  s.sim.use_ace = in.boolean();
-  s.sim.ace_refresh = in.i32();
-  s.sim.seed = in.u64();
-  s.sim.hybrid_params.enabled = in.boolean();
-  s.sim.hybrid_params.alpha = in.f64();
-  s.sim.hybrid_params.omega = in.f64();
-  s.sim.scf.max_iter = in.i32();
-  s.sim.scf.tol_rho = in.f64();
-  s.sim.scf.mix_beta = in.f64();
-  s.sim.scf.anderson_depth = in.u64();
-  s.sim.scf.lobpcg.max_iter = in.i32();
-  s.sim.scf.lobpcg.tol = in.f64();
-  s.sim.scf.lobpcg.verbose = in.boolean();
-  s.sim.scf.hybrid_outer_max = in.i32();
-  s.sim.scf.hybrid_outer_tol = in.f64();
-  s.sim.scf.verbose = in.boolean();
+  get_sim(in, &s.sim);
   s.ptcn.dt = in.f64();
   s.ptcn.rho_tol = in.f64();
   s.ptcn.max_scf = in.i32();

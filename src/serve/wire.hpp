@@ -131,6 +131,13 @@ ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
 
 // --- message payload codecs ------------------------------------------------
 
+/// The simulation-options block of a spec payload. Its bytes are also the
+/// key of the engine's ground-state cache (serve/gs_cache.hpp): one encoder
+/// for both, so a field that reaches the wire always reaches the key.
+void put_sim(PutBuf& out, const core::SimulationOptions& sim);
+/// Decodes put_sim's block; an overrun latches !in.ok().
+void get_sim(GetBuf& in, core::SimulationOptions* sim);
+
 void put_spec(PutBuf& out, const JobSpec& spec);
 /// Field-by-field decode; false on overrun (caller maps to kBadFrame).
 /// Performance knobs that are server-side configuration (FockOptions, FFT

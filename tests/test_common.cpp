@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -9,6 +12,7 @@
 #include "common/env.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
+#include "common/thread_set.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "ham/ace.hpp"
@@ -88,6 +92,39 @@ TEST(TimerRegistry, AccumulatesPhases) {
   EXPECT_GE(reg.total("scoped"), 0.0);
   reg.clear();
   EXPECT_DOUBLE_EQ(reg.total("fock"), 0.0);
+}
+
+// Finished threads are joined by the next finisher: spawning many one-task
+// threads in sequence never accumulates handles. Once task i's thread has
+// retired, its own parked handle is all that is left — it joined task
+// i-1's. (The deadline only bounds a broken set, whose size never drops.)
+TEST(ThreadSet, FinishedThreadsAreReapedAsTheNextOneFinishes) {
+  ThreadSet set;
+  for (int i = 0; i < 32; ++i) {
+    set.spawn([] {});
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (set.size() > 1 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    ASSERT_EQ(set.size(), 1u) << "after task " << i;
+  }
+  set.join_all();
+  EXPECT_EQ(set.size(), 0u);
+}
+
+TEST(ThreadSet, JoinAllWaitsForRunningThreads) {
+  ThreadSet set;
+  std::atomic<int> done{0};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  for (int i = 0; i < 4; ++i)
+    set.spawn([&] {
+      released.wait();
+      ++done;
+    });
+  release.set_value();
+  set.join_all();
+  EXPECT_EQ(done.load(), 4);
+  EXPECT_EQ(set.size(), 0u);
 }
 
 TEST(Table, FormatsAlignedColumns) {

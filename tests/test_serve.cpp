@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/simulation.hpp"
 #include "io/checkpoint.hpp"
+#include "serve/client.hpp"
+#include "serve/gs_cache.hpp"
 #include "serve/job_engine.hpp"
+#include "serve/server.hpp"
+#include "serve/wire.hpp"
 #include "serve_test_util.hpp"
 
 namespace pwdft {
@@ -277,6 +286,395 @@ TEST(JobEngine, RejectionsAreTypedErrorCodes) {
   serve::JobSpec unnamed;
   EXPECT_EQ(engine.submit(unnamed).error, serve::ErrorCode::kInvalidSpec);
   engine.wait(id.id);
+}
+
+// --- ground-state cache ------------------------------------------------------
+
+/// The cache tests' system: tiny_sim at a lower cutoff with a looser, still
+/// converged hybrid SCF. Hit/miss identity does not depend on how tightly
+/// the SCF converges, and these tests run many ground states.
+serve::JobSpec gs_job(const std::string& name, serve::JobKind kind, int steps) {
+  auto spec = tiny_job(name, kind, steps);
+  spec.sim.ecut = 2.0;
+  spec.sim.scf.tol_rho = 1e-5;
+  spec.sim.scf.hybrid_outer_max = 2;
+  return spec;
+}
+
+/// A job alone on a fresh engine: its ground state is always a cache miss.
+serve::JobStatus fresh_engine_run(const serve::JobSpec& spec) {
+  CkptDir dir(("fresh_" + spec.name).c_str());
+  serve::JobEngineOptions eopt;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  const auto id = engine.submit(spec);
+  EXPECT_TRUE(id.ok()) << id.message;
+  const auto s = engine.wait(id.id);
+  EXPECT_EQ(engine.ground_states_computed(), 1u);
+  return s;
+}
+
+/// Jobs of every kind sharing one ground-state spec on one engine match
+/// their own runs on fresh engines bitwise — trace and scf_energy — with
+/// one SCF for the whole set. `use_ace` selects the exchange path (ACE
+/// refreshed at every registration, the cacheable ACE cadence); the direct
+/// path also runs a job that records no energies, so no per-sample rebuild
+/// of density and exchange precedes its first step, and an MTS job.
+void expect_hits_match_fresh_engine_runs(bool use_ace, const std::string& tag) {
+  auto make = [&](const std::string& name, serve::JobKind kind, int steps) {
+    auto spec = gs_job(tag + name, kind, steps);
+    spec.sim.use_ace = use_ace;
+    spec.sim.ace_refresh = 1;
+    return spec;
+  };
+  std::vector<serve::JobSpec> specs = {make("abs", serve::JobKind::kAbsorption, 2),
+                                       make("laser", serve::JobKind::kLaser, 2),
+                                       make("scf", serve::JobKind::kScf, 0)};
+  specs[1].field.laser_e0 = 0.05;
+  if (!use_ace) {
+    specs.push_back(make("kick-y", serve::JobKind::kAbsorption, 2));
+    specs.back().field.kick = {0.0, 2.0e-3, 0.0};
+    specs.back().record_energy = false;
+    // MTS (admitted without checkpoints): step 2 reuses the exchange
+    // operator step 1 froze.
+    specs.push_back(make("mts", serve::JobKind::kAbsorption, 2));
+    specs.back().ptcn.mts_interval = 2;
+    specs.back().checkpoint_every = 0;
+  }
+
+  // The misses run at once, each on its own engine: tenants racing for the
+  // pool stay bit-identical (docs/threading.md).
+  std::vector<std::future<serve::JobStatus>> misses;
+  for (const auto& spec : specs)
+    if (spec.kind != serve::JobKind::kScf)
+      misses.push_back(std::async(std::launch::async, fresh_engine_run, spec));
+  std::vector<serve::JobStatus> refs;
+  std::size_t next_miss = 0;
+  for (const auto& spec : specs) {
+    if (spec.kind == serve::JobKind::kScf) {
+      // A kScf job's whole result is its scf_energy, which every miss of
+      // the spec computes identically: the absorption miss is its reference.
+      serve::JobStatus scf_ref = refs.front();
+      scf_ref.trace.clear();
+      refs.push_back(scf_ref);
+      continue;
+    }
+    refs.push_back(misses[next_miss++].get());
+    ASSERT_EQ(refs.back().state, serve::JobState::kDone) << refs.back().message;
+  }
+
+  CkptDir dir(("hits_" + tag).c_str());
+  serve::JobEngineOptions eopt;
+  eopt.max_running = 2;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  std::vector<serve::JobId> ids;
+  for (const auto& spec : specs) {
+    const auto r = engine.submit(spec);
+    ASSERT_TRUE(r.ok()) << r.message;
+    ids.push_back(r.id);
+  }
+  engine.wait_all();
+  EXPECT_EQ(engine.ground_states_computed(), 1u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto s = engine.wait(ids[i]);
+    ASSERT_EQ(s.state, serve::JobState::kDone) << s.message;
+    EXPECT_EQ(s.scf_energy, refs[i].scf_energy) << specs[i].name;
+    expect_traces_identical(s.trace, refs[i].trace, specs[i].name);
+  }
+}
+
+TEST(GroundStateCache, HitsMatchFreshEngineRunsBitwiseDirectExchange) {
+  expect_hits_match_fresh_engine_runs(/*use_ace=*/false, "direct-");
+}
+
+TEST(GroundStateCache, HitsMatchFreshEngineRunsBitwiseAce) {
+  expect_hits_match_fresh_engine_runs(/*use_ace=*/true, "ace-");
+}
+
+TEST(GroundStateCache, SimultaneousSubmissionsComputeOneGroundState) {
+  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.max_running = 2;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  auto a = gs_job("twin-a", serve::JobKind::kAbsorption, 1);
+  auto b = gs_job("twin-b", serve::JobKind::kAbsorption, 1);
+  a.sim.hybrid = b.sim.hybrid = false;  // single flight does not care
+  a.sim.seed = b.sim.seed = 7;
+  const auto ida = engine.submit(a);
+  const auto idb = engine.submit(b);
+  ASSERT_TRUE(ida.ok() && idb.ok());
+  // Both are admitted at once (two slots): the second waits on the first's
+  // SCF instead of running its own.
+  const auto sa = engine.wait(ida.id);
+  const auto sb = engine.wait(idb.id);
+  ASSERT_EQ(sa.state, serve::JobState::kDone) << sa.message;
+  ASSERT_EQ(sb.state, serve::JobState::kDone) << sb.message;
+  EXPECT_EQ(engine.ground_states_computed(), 1u);
+  EXPECT_EQ(sa.scf_energy, sb.scf_energy);
+  expect_traces_identical(sa.trace, sb.trace, "twins");
+}
+
+// Hit == miss is pinned above; here the uninterrupted reference is itself a
+// hit on the same engine, so the whole test costs one SCF.
+TEST(GroundStateCache, HitJobPreemptedThenResumedMatchesUninterruptedRun) {
+  auto spec = gs_job("hit-victim", serve::JobKind::kLaser, 3);
+  spec.field.laser_e0 = 0.05;
+  spec.checkpoint_every = 1;
+  auto uninterrupted = spec;
+  uninterrupted.name = "hit-ref";
+
+  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  const auto warm = engine.submit(gs_job("warm", serve::JobKind::kScf, 0));
+  ASSERT_EQ(engine.wait(warm.id).state, serve::JobState::kDone);
+  const auto ref_id = engine.submit(uninterrupted);
+  ASSERT_TRUE(ref_id.ok()) << ref_id.message;
+  const auto ref_status = engine.wait(ref_id.id);
+  ASSERT_EQ(ref_status.state, serve::JobState::kDone) << ref_status.message;
+  const auto& ref = ref_status.trace;
+  ASSERT_EQ(ref.size(), 4u);
+
+  const auto id = engine.submit(spec);  // a free slot: running at once, a hit
+  ASSERT_TRUE(id.ok()) << id.message;
+  EXPECT_EQ(engine.preempt(id.id), serve::ErrorCode::kOk);
+  const auto killed = engine.wait(id.id);
+  ASSERT_EQ(killed.state, serve::JobState::kPreempted) << killed.message;
+  EXPECT_LT(killed.steps_done, 3u);
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/hit-victim.gs.ckpt"));
+
+  EXPECT_TRUE(engine.resume(id.id).ok());
+  const auto done = engine.wait(id.id);
+  ASSERT_EQ(done.state, serve::JobState::kDone) << done.message;
+  EXPECT_EQ(done.steps_done, 3u);
+  expect_traces_identical(done.trace, ref, "hit+preempt+resume");
+  EXPECT_EQ(engine.ground_states_computed(), 1u);
+}
+
+TEST(GroundStateCache, EveryPutSimFieldChangesTheKey) {
+  const core::SimulationOptions base = gs_job("base", serve::JobKind::kScf, 0).sim;
+  auto key_of = [](const core::SimulationOptions& sim) {
+    serve::wire::PutBuf b;
+    serve::wire::put_sim(b, sim);
+    return b.bytes();
+  };
+  // One mutator per put_sim field. The size pin below fails when a field
+  // is added to the codec without a mutator here.
+  const std::vector<std::function<void(core::SimulationOptions&)>> mutators = {
+      [](auto& s) { s.cells[0] = 2; },
+      [](auto& s) { s.cells[1] = 2; },
+      [](auto& s) { s.cells[2] = 2; },
+      [](auto& s) { s.ecut += 0.5; },
+      [](auto& s) { s.dense_factor = 2; },
+      [](auto& s) { s.hybrid = !s.hybrid; },
+      [](auto& s) { s.nonlocal = !s.nonlocal; },
+      [](auto& s) { s.use_ace = !s.use_ace; },
+      [](auto& s) { s.ace_refresh += 3; },
+      [](auto& s) { s.seed += 1; },
+      [](auto& s) { s.hybrid_params.enabled = !s.hybrid_params.enabled; },
+      [](auto& s) { s.hybrid_params.alpha *= 1.5; },
+      [](auto& s) { s.hybrid_params.omega *= 1.5; },
+      [](auto& s) { s.scf.max_iter += 1; },
+      [](auto& s) { s.scf.tol_rho *= 0.5; },
+      [](auto& s) { s.scf.mix_beta *= 0.5; },
+      [](auto& s) { s.scf.anderson_depth += 1; },
+      [](auto& s) { s.scf.lobpcg.max_iter += 1; },
+      [](auto& s) { s.scf.lobpcg.tol *= 0.5; },
+      [](auto& s) { s.scf.lobpcg.verbose = !s.scf.lobpcg.verbose; },
+      [](auto& s) { s.scf.hybrid_outer_max += 1; },
+      [](auto& s) { s.scf.hybrid_outer_tol *= 0.5; },
+      [](auto& s) { s.scf.verbose = !s.scf.verbose; },
+  };
+  const auto base_key = key_of(base);
+  EXPECT_EQ(base_key.size(), 3 * 4 + 8 + 4 + 1 + 1 + 1 + 4 + 8 + 1 + 8 + 8 + 4 + 8 + 8 + 8 + 4 +
+                                 8 + 1 + 4 + 8 + 1u);
+  for (std::size_t i = 0; i < mutators.size(); ++i) {
+    core::SimulationOptions changed = base;
+    mutators[i](changed);
+    EXPECT_NE(key_of(changed), base_key) << "mutator " << i;
+  }
+
+  // End to end: a changed field is a miss, an unchanged spec a hit.
+  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  auto run = [&](const std::string& name, const core::SimulationOptions& sim) {
+    auto spec = gs_job(name, serve::JobKind::kScf, 0);
+    spec.sim = sim;
+    const auto r = engine.submit(spec);
+    ASSERT_TRUE(r.ok()) << r.message;
+    ASSERT_EQ(engine.wait(r.id).state, serve::JobState::kDone);
+  };
+  core::SimulationOptions lda = base;  // the cheapest ground state
+  lda.hybrid = false;
+  run("base", lda);
+  EXPECT_EQ(engine.ground_states_computed(), 1u);
+  lda.seed += 1;
+  run("seed", lda);
+  EXPECT_EQ(engine.ground_states_computed(), 2u);
+  lda.seed -= 1;
+  run("base-again", lda);
+  EXPECT_EQ(engine.ground_states_computed(), 2u);
+}
+
+// ACE that keeps projectors across registrations makes the first step
+// depend on what the SCF left behind, so such specs never share.
+TEST(GroundStateCache, AceWithRefreshCadenceAboveOneBypassesTheCache) {
+  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.max_running = 2;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  std::vector<serve::JobId> ids;
+  for (const char* name : {"stale-1", "stale-2"}) {
+    auto spec = gs_job(name, serve::JobKind::kScf, 0);
+    spec.sim.use_ace = true;
+    spec.sim.ace_refresh = 2;
+    const auto r = engine.submit(spec);
+    ASSERT_TRUE(r.ok()) << r.message;
+    ids.push_back(r.id);
+  }
+  for (const serve::JobId id : ids) ASSERT_EQ(engine.wait(id).state, serve::JobState::kDone);
+  EXPECT_EQ(engine.ground_states_computed(), 2u);  // neither shared nor waited
+}
+
+serve::GroundStateCache::Entry fake_entry(std::size_t n, double energy) {
+  return {CMatrix(n, 1, Complex{energy, 0.0}), energy};
+}
+
+TEST(GroundStateCache, EvictsLeastRecentlyUsedUnderByteBudget) {
+  const serve::GroundStateCache::Key ka{1}, kb{2}, kc{3}, kbig{4};
+  const std::size_t entry_bytes = 64 * sizeof(Complex) + 1;
+  serve::GroundStateCache cache(2 * entry_bytes);
+  int computed = 0;
+  auto get = [&](const serve::GroundStateCache::Key& k) {
+    return cache.get_or_compute(k, [&] {
+      ++computed;
+      return fake_entry(64, k[0]);
+    });
+  };
+  get(ka);
+  get(kb);
+  get(ka);  // hit: kb is now the least recently used
+  EXPECT_EQ(computed, 2);
+  get(kc);  // evicts kb
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.bytes(), 2 * entry_bytes);
+  get(ka);
+  EXPECT_EQ(computed, 3);
+  get(kb);
+  EXPECT_EQ(computed, 4);
+  // Larger than the whole budget: returned but not retained, and nothing
+  // else is evicted for it.
+  const auto big = cache.get_or_compute(kbig, [&] { return fake_entry(1024, 9.0); });
+  EXPECT_EQ(big->psi.rows(), 1024u);
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_LE(cache.bytes(), 2 * entry_bytes);
+}
+
+TEST(GroundStateCache, ConcurrentMissesComputeOnce) {
+  serve::GroundStateCache cache;
+  const serve::GroundStateCache::Key key{42};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> computed{0};
+  auto compute = [&] {
+    ++computed;
+    released.wait();
+    return fake_entry(8, 1.0);
+  };
+  auto owner = std::async(std::launch::async, [&] { return cache.get_or_compute(key, compute); });
+  auto other = std::async(std::launch::async, [&] { return cache.get_or_compute(key, compute); });
+  release.set_value();
+  const auto a = owner.get();
+  const auto b = other.get();
+  EXPECT_EQ(computed.load(), 1);
+  EXPECT_EQ(a.get(), b.get());
+}
+
+TEST(GroundStateCache, FailedComputationIsRetriedByTheNextCaller) {
+  serve::GroundStateCache cache;
+  const serve::GroundStateCache::Key key{7};
+  std::promise<void> claimed, release;
+  std::shared_future<void> released = release.get_future().share();
+  auto failing = std::async(std::launch::async, [&] {
+    return cache.get_or_compute(key, [&]() -> serve::GroundStateCache::Entry {
+      claimed.set_value();
+      released.wait();
+      throw std::runtime_error("scf diverged");
+    });
+  });
+  claimed.get_future().wait();  // the failing caller owns the key
+  // Whether this caller waits on the failing owner or arrives after it,
+  // it ends up computing the entry itself.
+  int computed = 0;
+  auto waiter = std::async(std::launch::async, [&] {
+    return cache.get_or_compute(key, [&] {
+      ++computed;
+      return fake_entry(8, 2.0);
+    });
+  });
+  release.set_value();
+  EXPECT_THROW(failing.get(), std::runtime_error);
+  EXPECT_EQ(waiter.get()->energy, 2.0);
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(cache.entries(), 1u);
+}
+
+/// Live threads of this process, from /proc/self/status.
+int live_threads() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+/// Live threads once they drop to `bound`, or after a minute: a handler of
+/// a just-closed connection may still be on its way out under load, but
+/// leaked threads never leave.
+int live_threads_settled(int bound) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int n = live_threads();
+  while (n > bound && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    n = live_threads();
+  }
+  return n;
+}
+
+// Finished jobs and closed connections leave no threads behind: after many
+// sequential jobs, each over its own connection, the process runs no more
+// threads than before plus one per slot plus one per open connection.
+TEST(GroundStateCache, SequentialJobsLeaveNoThreadsBehind) {
+  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::ServerOptions so;
+  so.listen = "unix:" + dir.path + "/s.sock";
+  so.engine.max_running = 2;
+  so.engine.checkpoint_dir = dir.path;
+  serve::Server server(so);
+  auto run_one = [&](const std::string& name) {
+    serve::Client client(server.address());
+    auto spec = gs_job(name, serve::JobKind::kScf, 0);
+    spec.sim.hybrid = false;  // only the thread count matters here
+    const auto r = client.submit(spec);
+    ASSERT_TRUE(r.ok()) << r.message;
+    ASSERT_EQ(client.wait(r.id).state, serve::JobState::kDone);
+  };
+  run_one("warm");  // pool workers and the cache entry exist from here on
+  const int baseline = live_threads();
+  ASSERT_GT(baseline, 0);
+  for (int i = 0; i < 12; ++i) {
+    serve::Client open(server.address());  // one open connection throughout
+    run_one("seq-" + std::to_string(i));
+    const int bound = baseline + 2 + 2;
+    EXPECT_LE(live_threads_settled(bound), bound) << "after job " << i;
+  }
+  EXPECT_EQ(server.engine().ground_states_computed(), 1u);
 }
 
 TEST(JobSpec, ValidateRejectsHostileAndUnphysicalSpecs) {
